@@ -3,7 +3,7 @@
 //!
 //! Usage: `bench_cycle_scale [--rows N] [--runs N] [--risk-threads N]
 //! [--top-n N] [--out PATH] [--baseline PATH] [--min-speedup X]
-//! [--batched-only]`
+//! [--max-order-ratio X] [--batched-only]`
 //!
 //! The workload is the streaming scale regime of `vadasa-datagen`
 //! (heavy-tailed classes, 256 risky sample-unique singletons, integer
@@ -15,17 +15,24 @@
 //! - **batched** — `BatchStrategy::TopN(top_n)`, `risk_threads`
 //!   partitioned evaluation: each iteration clears up to `top_n`
 //!   equivalence classes, so the table converges in a handful of
-//!   evaluations.
+//!   evaluations;
+//! - **batched-most-risky** — the batched mode under the CLI's default
+//!   attribute order, `MostRiskyFirst`, which ranks every candidate
+//!   column on each step (schema order just takes the first non-null
+//!   one).
 //!
-//! Safety is asserted before any number is reported: both modes must end
+//! Safety is asserted before any number is reported: every mode must end
 //! with zero risky tuples, and the batched run may not suppress less than
 //! the one-tuple run. Results append to the `--out` file (default
 //! `BENCH_cycle.json`); `--baseline` gates the batched median against a
 //! committed baseline with the standard >25% regression threshold, and
 //! `--min-speedup` fails the run if one-tuple/batched falls below the
-//! given ratio. `--batched-only` times only the batched mode (the CI
-//! smoke profile) while still running one-tuple once for the safety
-//! cross-check.
+//! given ratio. `--max-order-ratio` fails the run if the
+//! batched-most-risky median exceeds the schema-order batched median of
+//! the same run by more than the given factor — a same-run ratio, so it
+//! gates the ranking code, not the host. `--batched-only` times only the
+//! two batched modes (the CI smoke profile) while still running one-tuple
+//! once for the safety cross-check.
 
 use std::io::Write;
 use vadasa_bench::{read_baseline_median, time_it};
@@ -59,18 +66,23 @@ fn main() {
     let top_n = parse_usize("--top-n", 64).max(1);
     let out_path = flag("--out").unwrap_or_else(|| "BENCH_cycle.json".to_string());
     let baseline = flag("--baseline");
-    let min_speedup: Option<f64> = flag("--min-speedup").map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--min-speedup expects a number, got '{v}'");
-            std::process::exit(2);
+    let parse_f64 = |name: &str| -> Option<f64> {
+        flag(name).map(|v| {
+            v.parse().unwrap_or_else(|_| {
+                eprintln!("{name} expects a number, got '{v}'");
+                std::process::exit(2);
+            })
         })
-    });
+    };
+    let min_speedup = parse_f64("--min-speedup");
+    let max_order_ratio = parse_f64("--max-order-ratio");
     let batched_only = args.iter().any(|a| a == "--batched-only");
 
     let spec = ScaleSpec::new(rows);
     let (db, dict) = generate_scale(&spec);
     let risk = KAnonymity::new(2);
-    let anonymizer = LocalSuppression::new(AttributeOrder::SchemaOrder);
+    let schema_order = LocalSuppression::new(AttributeOrder::SchemaOrder);
+    let most_risky = LocalSuppression::new(AttributeOrder::MostRiskyFirst);
     let config = |batch: BatchStrategy, threads: usize| CycleConfig {
         threshold: 0.5,
         tuple_order: TupleOrder::Fifo,
@@ -78,15 +90,17 @@ fn main() {
         risk_threads: threads,
         ..CycleConfig::default()
     };
-    let run_once = |batch: BatchStrategy, threads: usize| -> CycleOutcome {
-        AnonymizationCycle::new(&risk, &anonymizer, config(batch, threads))
+    let run_with = |anonymizer: &LocalSuppression, batch: BatchStrategy, threads: usize| {
+        AnonymizationCycle::new(&risk, anonymizer, config(batch, threads))
             .run(&db, &dict)
             .expect("scale workload runs")
     };
+    let run_once = |batch: BatchStrategy, threads: usize| run_with(&schema_order, batch, threads);
 
-    // --- safety first: both modes converge, batched never less safe ---
+    // --- safety first: every mode converges, batched never less safe ---
     let one = run_once(BatchStrategy::OneTuple, 1);
     let batched = run_once(BatchStrategy::TopN(top_n), risk_threads);
+    let risky_order = run_with(&most_risky, BatchStrategy::TopN(top_n), risk_threads);
     let mut violations: Vec<String> = Vec::new();
     if one.final_risky != 0 {
         violations.push(format!("one-tuple left {} risky tuple(s)", one.final_risky));
@@ -95,6 +109,12 @@ fn main() {
         violations.push(format!(
             "batched left {} risky tuple(s)",
             batched.final_risky
+        ));
+    }
+    if risky_order.final_risky != 0 {
+        violations.push(format!(
+            "batched-most-risky left {} risky tuple(s)",
+            risky_order.final_risky
         ));
     }
     if batched.nulls_injected < one.nulls_injected {
@@ -118,19 +138,21 @@ fn main() {
     }
 
     // --- medians ---
-    let median_of = |batch: BatchStrategy, threads: usize| -> f64 {
+    let median_of = |anonymizer: &LocalSuppression, batch: BatchStrategy, threads: usize| {
         let mut times: Vec<f64> = (0..runs)
-            .map(|_| time_it(|| run_once(batch, threads)).1)
+            .map(|_| time_it(|| run_with(anonymizer, batch, threads)).1)
             .collect();
         times.sort_by(f64::total_cmp);
         times[times.len() / 2]
     };
-    let batched_s = median_of(BatchStrategy::TopN(top_n), risk_threads);
+    let batched_s = median_of(&schema_order, BatchStrategy::TopN(top_n), risk_threads);
+    let most_risky_s = median_of(&most_risky, BatchStrategy::TopN(top_n), risk_threads);
     let one_s = if batched_only {
         None
     } else {
-        Some(median_of(BatchStrategy::OneTuple, 1))
+        Some(median_of(&schema_order, BatchStrategy::OneTuple, 1))
     };
+    let order_ratio = most_risky_s / batched_s.max(f64::MIN_POSITIVE);
     let speedup = one_s.map(|o| {
         if batched_s == 0.0 {
             f64::INFINITY
@@ -166,6 +188,18 @@ fn main() {
         rows, k, batched_s, runs
     )
     .expect("write bench line");
+    writeln!(
+        file,
+        "{{\"bench\":\"cycle.scale\",\"rows\":{},\"mode\":\"batched-most-risky@{}k\",\"median_s\":{:.6},\"runs\":{}}}",
+        rows, k, most_risky_s, runs
+    )
+    .expect("write bench line");
+    writeln!(
+        file,
+        "{{\"bench\":\"cycle.scale\",\"rows\":{},\"most_risky_ratio\":{:.3}}}",
+        rows, order_ratio
+    )
+    .expect("write bench line");
     if let Some(s) = speedup {
         writeln!(
             file,
@@ -183,6 +217,10 @@ fn main() {
     println!(
         "  batched (TopN({top_n}), {risk_threads} risk thread(s)): {:.3}s   {} iteration(s), {} suppression(s)",
         batched_s, batched.iterations, batched.nulls_injected
+    );
+    println!(
+        "  batched, MostRiskyFirst: {:.3}s   {} iteration(s), {} suppression(s); {:.2}x schema order",
+        most_risky_s, risky_order.iterations, risky_order.nulls_injected, order_ratio
     );
     if let (Some(o), Some(s)) = (one_s, speedup) {
         println!(
@@ -205,6 +243,16 @@ fn main() {
                 std::process::exit(2);
             }
         }
+    }
+
+    if let Some(cap) = max_order_ratio {
+        if order_ratio > cap {
+            eprintln!(
+                "ATTRIBUTE-ORDER COST ABOVE CAP: MostRiskyFirst {most_risky_s:.3}s is {order_ratio:.2}x schema order {batched_s:.3}s > {cap:.2}x"
+            );
+            std::process::exit(1);
+        }
+        println!("attribute-order gate passed: {order_ratio:.2}x <= {cap:.2}x");
     }
 
     if let Some(path) = baseline {

@@ -12,9 +12,10 @@
 //! group — and everyone else's it may now match — so a single suppression
 //! can defuse several risky tuples at once (Figure 5).
 
-use super::{candidate_attrs, AnonymizationAction, AnonymizeError, Anonymizer, AttributeOrder};
+use super::{rank_candidates, AnonymizationAction, AnonymizeError, Anonymizer, AttributeOrder};
 use crate::dictionary::MetadataDictionary;
 use crate::model::MicrodataDb;
+use crate::risk::MicrodataView;
 
 /// Local suppression anonymizer (Algorithm 7).
 #[derive(Debug, Clone, Copy, Default)]
@@ -35,16 +36,17 @@ impl Anonymizer for LocalSuppression {
         "local-suppression"
     }
 
-    fn anonymize_step(
+    fn anonymize_step_on(
         &self,
         db: &mut MicrodataDb,
-        dict: &MetadataDictionary,
+        _dict: &MetadataDictionary,
+        view: &MicrodataView,
         row: usize,
     ) -> Result<AnonymizationAction, AnonymizeError> {
-        let candidates = candidate_attrs(db, dict, row, self.attr_order)?;
-        let Some(attr) = candidates.into_iter().next() else {
+        let Some(&col) = rank_candidates(view, row, self.attr_order).first() else {
             return Ok(AnonymizationAction::Exhausted { row });
         };
+        let attr = view.qi_names[col].clone();
         let previous = db.value(row, &attr)?.clone();
         let null = db.fresh_null();
         db.set_value(row, &attr, null)?;

@@ -21,8 +21,11 @@ pub use local::LocalSuppression;
 pub use microagg::{microaggregate, microaggregate_numeric_qis, MicroaggregationOutcome};
 pub use recode::{band_hierarchy, italian_geography, DomainHierarchy, GlobalRecoding};
 
+use crate::columnar::Postings;
 use crate::dictionary::{DictionaryError, MetadataDictionary};
+use crate::maybe_match::NullSemantics;
 use crate::model::{MicrodataDb, ModelError};
+use crate::risk::{MicrodataView, RiskError};
 use std::fmt;
 use vadalog::Value;
 
@@ -87,6 +90,8 @@ pub enum AnonymizeError {
     Dictionary(DictionaryError),
     /// Microdata access failed.
     Model(ModelError),
+    /// The table has no usable quasi-identifier view.
+    View(String),
 }
 
 impl fmt::Display for AnonymizeError {
@@ -94,6 +99,7 @@ impl fmt::Display for AnonymizeError {
         match self {
             AnonymizeError::Dictionary(e) => write!(f, "{e}"),
             AnonymizeError::Model(e) => write!(f, "{e}"),
+            AnonymizeError::View(m) => write!(f, "invalid view: {m}"),
         }
     }
 }
@@ -110,6 +116,15 @@ impl From<ModelError> for AnonymizeError {
         AnonymizeError::Model(e)
     }
 }
+impl From<RiskError> for AnonymizeError {
+    fn from(e: RiskError) -> Self {
+        match e {
+            RiskError::Dictionary(e) => AnonymizeError::Dictionary(e),
+            RiskError::Model(e) => AnonymizeError::Model(e),
+            RiskError::View(m) => AnonymizeError::View(m),
+        }
+    }
+}
 
 /// A pluggable anonymization method: the `anonymize` atom of Algorithm 2.
 pub trait Anonymizer {
@@ -120,100 +135,117 @@ pub trait Anonymizer {
     /// done. Implementations must guarantee *progress or exhaustion*: a
     /// sequence of steps on the same tuple eventually returns
     /// [`AnonymizationAction::Exhausted`].
+    ///
+    /// `view` is the quasi-identifier projection of `db` as it stands
+    /// (what [`MicrodataView::from_db_with`] builds with no restriction);
+    /// candidates are ranked on it. The step changes `db` only: the caller
+    /// reflects the returned action into `view` — the cycle does so after
+    /// every action (`patch_cell` / `patch_recode`).
+    fn anonymize_step_on(
+        &self,
+        db: &mut MicrodataDb,
+        dict: &MetadataDictionary,
+        view: &MicrodataView,
+        row: usize,
+    ) -> Result<AnonymizationAction, AnonymizeError>;
+
+    /// [`anonymize_step_on`](Self::anonymize_step_on) over a view built
+    /// for this one call: an O(cells) build, for callers that hold no
+    /// live view.
     fn anonymize_step(
         &self,
         db: &mut MicrodataDb,
         dict: &MetadataDictionary,
         row: usize,
-    ) -> Result<AnonymizationAction, AnonymizeError>;
+    ) -> Result<AnonymizationAction, AnonymizeError> {
+        if dict.quasi_identifiers(&db.name)?.is_empty() {
+            return Ok(AnonymizationAction::Exhausted { row });
+        }
+        let view = MicrodataView::from_db_with(db, dict, NullSemantics::MaybeMatch, None)?;
+        self.anonymize_step_on(db, dict, &view, row)
+    }
 }
 
-/// Rank a tuple's candidate quasi-identifiers according to `order`.
-/// Returns attribute names, most preferred first; attributes whose cell is
-/// already a labelled null are excluded.
-pub(crate) fn candidate_attrs(
-    db: &MicrodataDb,
-    dict: &MetadataDictionary,
-    row: usize,
-    order: AttributeOrder,
-) -> Result<Vec<String>, AnonymizeError> {
-    let qis = dict.quasi_identifiers(&db.name)?;
-    let mut candidates: Vec<String> = Vec::new();
-    for attr in &qis {
-        if !db.value(row, attr)?.is_null() {
-            candidates.push(attr.clone());
-        }
+/// Rank `row`'s candidate quasi-identifiers by `order`, most preferred
+/// first, as column indices into `view`; columns where the row holds a
+/// labelled null are not candidates.
+///
+/// - [`AttributeOrder::SchemaOrder`]: column order.
+/// - [`AttributeOrder::MostSelectiveFirst`]: ascending frequency of the
+///   row's value in its column.
+/// - [`AttributeOrder::MostRiskyFirst`]: descending size of the
+///   maybe-match class the row would have with the column suppressed,
+///   i.e. the rows with no mismatch against it outside that column.
+///
+/// Ties break by ascending value frequency, then attribute name.
+/// Frequencies are read off the view's postings index (built on the first
+/// ranking). For `MostRiskyFirst` a row with at most one mismatch agrees
+/// with the target on one of any two of its non-null columns, or is null
+/// there; so only the rows sharing the target's code on its two rarest
+/// columns and the null-carrying rows are visited, not the whole table.
+pub fn rank_candidates(view: &MicrodataView, row: usize, order: AttributeOrder) -> Vec<usize> {
+    let mask = view.null_mask(row);
+    let mut candidates: Vec<usize> = (0..view.width()).filter(|&c| mask >> c & 1 == 0).collect();
+    if order == AttributeOrder::SchemaOrder || candidates.len() < 2 {
+        return candidates;
     }
-    match order {
-        AttributeOrder::SchemaOrder => Ok(candidates),
-        AttributeOrder::MostSelectiveFirst => {
-            // frequency of this row's value within each candidate column
-            let mut keyed: Vec<(usize, String)> = Vec::with_capacity(candidates.len());
-            for attr in candidates {
-                let v = db.value(row, &attr)?.clone();
-                let freq = db.column(&attr)?.into_iter().filter(|x| **x == v).count();
-                keyed.push((freq, attr));
-            }
-            keyed.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-            Ok(keyed.into_iter().map(|(_, a)| a).collect())
-        }
-        AttributeOrder::MostRiskyFirst => {
-            // widest lift: class size after suppressing each candidate
-            // (match on the remaining quasi-identifiers, null-tolerantly),
-            // largest first. Ties break toward the rarer value so the
-            // behaviour degrades gracefully to MostSelectiveFirst.
-            //
-            // Single pass over the table: a row contributes to candidate
-            // `j`'s lift iff its only quasi-identifier mismatch with the
-            // target (if any) is at position `j`.
-            use crate::maybe_match::{values_match, NullSemantics};
-            let cols: Vec<usize> = qis
-                .iter()
-                .map(|q| db.attr_position(q))
-                .collect::<Result<_, _>>()?;
-            let target = db.row(row)?.to_vec();
-            let mut lift = vec![0usize; qis.len()];
-            let mut exact_and_all = vec![0usize; qis.len()]; // rows matching everywhere
-            let mut value_freq = vec![0usize; qis.len()];
-            for r in db.iter_rows() {
-                let mut mismatch: Option<usize> = None;
-                let mut multi = false;
-                for (qi_idx, &c) in cols.iter().enumerate() {
-                    if !values_match(&r[c], &target[c], NullSemantics::MaybeMatch) {
-                        if mismatch.is_some() {
-                            multi = true;
-                        }
-                        mismatch = Some(qi_idx);
-                    }
-                    if r[c] == target[c] {
-                        value_freq[qi_idx] += 1;
-                    }
-                }
-                if multi {
-                    continue;
-                }
-                match mismatch {
-                    None => {
-                        for e in exact_and_all.iter_mut() {
-                            *e += 1;
-                        }
-                    }
-                    Some(j) => lift[j] += 1,
-                }
-            }
-            let mut keyed: Vec<(usize, usize, String)> = Vec::with_capacity(candidates.len());
-            for attr in candidates {
-                let j = qis.iter().position(|q| *q == attr).expect("attr is a QI");
-                keyed.push((lift[j] + exact_and_all[j], value_freq[j], attr));
-            }
-            keyed.sort_by(|a, b| {
-                b.0.cmp(&a.0)
-                    .then_with(|| a.1.cmp(&b.1))
-                    .then_with(|| a.2.cmp(&b.2))
-            });
-            Ok(keyed.into_iter().map(|(_, _, a)| a).collect())
-        }
+    let target = view.row_codes(row);
+    let postings = view.postings();
+    let freq = |c: usize| postings.count(c, target[c]);
+    let name = |c: usize| view.qi_names[c].as_str();
+    if order == AttributeOrder::MostSelectiveFirst {
+        candidates.sort_by(|&a, &b| freq(a).cmp(&freq(b)).then_with(|| name(a).cmp(name(b))));
+        return candidates;
     }
+
+    // MostRiskyFirst. `zero` counts rows matching the target everywhere,
+    // `one[c]` rows whose only mismatch is at column `c`.
+    let mut by_freq = candidates.clone();
+    by_freq.sort_by_key(|&c| freq(c));
+    let (a, b) = (by_freq[0], by_freq[1]);
+    let (bit_a, bit_b) = (1u64 << a, 1u64 << b);
+    let code = |r: usize, c: usize| view.row_codes(r)[c];
+    let mut zero = 0usize;
+    let mut one = vec![0usize; view.width()];
+    let mut visit = |r: u32| {
+        let (codes, m) = (view.row_codes(r as usize), view.null_mask(r as usize));
+        let mut miss = None;
+        for &c in &candidates {
+            if m >> c & 1 == 0 && codes[c] != target[c] {
+                if miss.is_some() {
+                    return;
+                }
+                miss = Some(c);
+            }
+        }
+        match miss {
+            None => zero += 1,
+            Some(c) => one[c] += 1,
+        }
+    };
+    // Three disjoint sources: agrees at `a`; agrees at `b` but not `a`;
+    // null at `a` or `b`. Every other row mismatches at both.
+    let (ta, tb) = (target[a], target[b]);
+    for r in Postings::current(postings.list(a, ta), |r| code(r, a) == ta) {
+        visit(r);
+    }
+    for r in Postings::current(postings.list(b, tb), |r| {
+        code(r, b) == tb && code(r, a) != ta
+    }) {
+        visit(r);
+    }
+    for r in Postings::current(postings.null_rows(), |r| {
+        view.null_mask(r) & (bit_a | bit_b) != 0 && code(r, a) != ta && code(r, b) != tb
+    }) {
+        visit(r);
+    }
+    candidates.sort_by(|&x, &y| {
+        (zero + one[y])
+            .cmp(&(zero + one[x]))
+            .then_with(|| freq(x).cmp(&freq(y)))
+            .then_with(|| name(x).cmp(name(y)))
+    });
+    candidates
 }
 
 #[cfg(test)]
@@ -256,17 +288,33 @@ mod tests {
         (db, dict)
     }
 
+    fn ranked(db: &MicrodataDb, dict: &MetadataDictionary, order: AttributeOrder) -> Vec<String> {
+        let view = MicrodataView::from_db(db, dict).unwrap();
+        rank_candidates(&view, 0, order)
+            .into_iter()
+            .map(|c| view.qi_names[c].clone())
+            .collect()
+    }
+
     #[test]
     fn most_selective_first_picks_textiles_for_tuple_1() {
         let (db, dict) = fig5a();
-        let order = candidate_attrs(&db, &dict, 0, AttributeOrder::MostSelectiveFirst).unwrap();
+        let order = ranked(&db, &dict, AttributeOrder::MostSelectiveFirst);
         assert_eq!(order[0], "Sector"); // Textiles occurs once
+    }
+
+    #[test]
+    fn most_risky_first_picks_textiles_for_tuple_1() {
+        // Figure 5a: suppressing Sector lifts tuple 1 into a class of 5.
+        let (db, dict) = fig5a();
+        let order = ranked(&db, &dict, AttributeOrder::MostRiskyFirst);
+        assert_eq!(order, vec!["Sector", "Area", "Employees", "ResRev"]);
     }
 
     #[test]
     fn schema_order_keeps_declaration_order() {
         let (db, dict) = fig5a();
-        let order = candidate_attrs(&db, &dict, 0, AttributeOrder::SchemaOrder).unwrap();
+        let order = ranked(&db, &dict, AttributeOrder::SchemaOrder);
         assert_eq!(order, vec!["Area", "Sector", "Employees", "ResRev"]);
     }
 
@@ -275,8 +323,45 @@ mod tests {
         let (mut db, dict) = fig5a();
         let n = db.fresh_null();
         db.set_value(0, "Sector", n).unwrap();
-        let order = candidate_attrs(&db, &dict, 0, AttributeOrder::MostSelectiveFirst).unwrap();
+        let order = ranked(&db, &dict, AttributeOrder::MostSelectiveFirst);
         assert!(!order.contains(&"Sector".to_string()));
         assert_eq!(order.len(), 3);
+    }
+
+    #[test]
+    fn patched_views_rank_like_fresh_ones() {
+        // Stale postings entries (a row moved away and back) must neither
+        // be counted nor counted twice.
+        let (db, dict) = fig5a();
+        let mut view = MicrodataView::from_db(&db, &dict).unwrap();
+        let fresh = rank_candidates(&view, 1, AttributeOrder::MostRiskyFirst);
+        view.patch_recode(1, &Value::str("Commerce"), &Value::str("Trade"), None);
+        view.patch_recode(1, &Value::str("Trade"), &Value::str("Commerce"), None);
+        view.patch_cell(3, 1, &Value::Null(7), None);
+        view.patch_cell(3, 1, &Value::str("Financial"), None);
+        for order in [
+            AttributeOrder::MostRiskyFirst,
+            AttributeOrder::MostSelectiveFirst,
+        ] {
+            let rebuilt = MicrodataView::from_rows(
+                view.qi_names.clone(),
+                view.to_rows(),
+                None,
+                NullSemantics::MaybeMatch,
+            );
+            assert_eq!(
+                rank_candidates(&view, 1, order),
+                rank_candidates(&rebuilt, 1, order)
+            );
+        }
+        assert_eq!(
+            rank_candidates(&view, 1, AttributeOrder::MostRiskyFirst),
+            fresh
+        );
+        assert_eq!(
+            view.rows_holding(1, &Value::str("Commerce")),
+            vec![1, 2],
+            "ascending, no repeats"
+        );
     }
 }

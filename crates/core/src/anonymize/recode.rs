@@ -15,9 +15,10 @@
 //! tuples 6 and 7 into one equivalence class). Recoding is inherently
 //! recursive: several roll-ups may be needed before the risk drops.
 
-use super::{candidate_attrs, AnonymizationAction, AnonymizeError, Anonymizer, AttributeOrder};
+use super::{rank_candidates, AnonymizationAction, AnonymizeError, Anonymizer, AttributeOrder};
 use crate::dictionary::MetadataDictionary;
 use crate::model::MicrodataDb;
+use crate::risk::MicrodataView;
 use std::collections::HashMap;
 use vadalog::Value;
 
@@ -138,33 +139,28 @@ impl Anonymizer for GlobalRecoding {
         "global-recoding"
     }
 
-    fn anonymize_step(
+    fn anonymize_step_on(
         &self,
         db: &mut MicrodataDb,
-        dict: &MetadataDictionary,
+        _dict: &MetadataDictionary,
+        view: &MicrodataView,
         row: usize,
     ) -> Result<AnonymizationAction, AnonymizeError> {
         // Among the candidate attributes, use the first whose value can be
         // rolled up.
-        for attr in candidate_attrs(db, dict, row, self.attr_order)? {
-            let from = db.value(row, &attr)?.clone();
+        for col in rank_candidates(view, row, self.attr_order) {
+            let attr = &view.qi_names[col];
+            let from = db.value(row, attr)?.clone();
             let Some(to) = self.hierarchy.roll_up(&from) else {
                 continue;
             };
-            // global: rewrite every occurrence in the column (indices
-            // first — the borrowed column view ends before the writes)
-            let rows_to_change: Vec<usize> = db
-                .column(&attr)?
-                .into_iter()
-                .enumerate()
-                .filter(|(_, v)| **v == from)
-                .map(|(r, _)| r)
-                .collect();
+            // global: rewrite every occurrence in the column
+            let rows_to_change = view.rows_holding(col, &from);
             for &r in &rows_to_change {
-                db.set_value(r, &attr, to.clone())?;
+                db.set_value(r, attr, to.clone())?;
             }
             return Ok(AnonymizationAction::Recode {
-                attr,
+                attr: attr.clone(),
                 from,
                 to,
                 rows_affected: rows_to_change.len(),

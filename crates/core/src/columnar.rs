@@ -93,6 +93,120 @@ impl ColumnDict {
     }
 }
 
+/// Per-column postings index over a coded table (code → rows), the access
+/// path of candidate ranking ([`crate::anonymize::rank_candidates`]) and
+/// global recoding.
+///
+/// Invariant: for every column `c` and non-null code `k`, `rows[c][k]` ⊇
+/// the rows whose *current* code at `c` is `k`, and `null_rows` ⊇ the rows
+/// carrying at least one labelled null. A build lists every row once in
+/// ascending order; patches only append, so an entry goes stale when its
+/// row moves to another code, and repeats when the row moves back.
+/// Readers therefore filter every list by the current code
+/// ([`Postings::current`]). `counts[c][k]` is exact: the number of rows
+/// whose current code at `c` is `k`. Labelled nulls are never posted per
+/// code — each one is a distinct code — only through `null_rows`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Postings {
+    rows: Vec<Vec<Vec<u32>>>,
+    counts: Vec<Vec<u32>>,
+    null_rows: Vec<u32>,
+}
+
+impl Postings {
+    /// Index a row-major coded table (`dict_lens[c]` = codes in use at
+    /// column `c`).
+    pub(crate) fn build(codes: &[u32], null_masks: &[u64], dict_lens: &[usize]) -> Self {
+        let width = dict_lens.len();
+        let mut counts: Vec<Vec<u32>> = dict_lens.iter().map(|&len| vec![0; len]).collect();
+        for (r, &mask) in null_masks.iter().enumerate() {
+            for (c, col_counts) in counts.iter_mut().enumerate() {
+                if mask >> c & 1 == 0 {
+                    col_counts[codes[r * width + c] as usize] += 1;
+                }
+            }
+        }
+        let mut rows: Vec<Vec<Vec<u32>>> = counts
+            .iter()
+            .map(|cc| cc.iter().map(|&k| Vec::with_capacity(k as usize)).collect())
+            .collect();
+        let mut null_rows = Vec::new();
+        for (r, &mask) in null_masks.iter().enumerate() {
+            if mask != 0 {
+                null_rows.push(r as u32);
+            }
+            for (c, col_rows) in rows.iter_mut().enumerate() {
+                if mask >> c & 1 == 0 {
+                    col_rows[codes[r * width + c] as usize].push(r as u32);
+                }
+            }
+        }
+        Postings {
+            rows,
+            counts,
+            null_rows,
+        }
+    }
+
+    /// Exact number of rows holding the non-null `code` at `col`.
+    pub(crate) fn count(&self, col: usize, code: u32) -> usize {
+        self.counts[col]
+            .get(code as usize)
+            .map_or(0, |&k| k as usize)
+    }
+
+    /// The (superset) postings list of the non-null `code` at `col`.
+    pub(crate) fn list(&self, col: usize, code: u32) -> &[u32] {
+        self.rows[col].get(code as usize).map_or(&[], Vec::as_slice)
+    }
+
+    /// Superset of the rows carrying a labelled null.
+    pub(crate) fn null_rows(&self) -> &[u32] {
+        &self.null_rows
+    }
+
+    /// Record that `row` moved from `old` to `new` at `col` (`old_mask` /
+    /// `new_mask` are the row's null masks around the change).
+    pub(crate) fn moved(
+        &mut self,
+        row: usize,
+        col: usize,
+        (old, old_mask): (u32, u64),
+        (new, new_mask): (u32, u64),
+    ) {
+        if old == new {
+            return;
+        }
+        if old_mask >> col & 1 == 0 {
+            self.counts[col][old as usize] -= 1;
+        }
+        if new_mask >> col & 1 == 0 {
+            // `counts[col]` and `rows[col]` always have the same length
+            let k = new as usize;
+            if self.counts[col].len() <= k {
+                self.counts[col].resize(k + 1, 0);
+                self.rows[col].resize_with(k + 1, Vec::new);
+            }
+            self.counts[col][k] += 1;
+            self.rows[col][k].push(row as u32);
+        }
+        if old_mask == 0 && new_mask != 0 {
+            self.null_rows.push(row as u32);
+        }
+    }
+
+    /// The rows of `list` for which `keep` holds, ascending and without
+    /// repeats (the shape a fresh build would have listed them in).
+    pub(crate) fn current(list: &[u32], keep: impl Fn(usize) -> bool) -> Vec<u32> {
+        let mut out: Vec<u32> = list.iter().copied().filter(|&r| keep(r as usize)).collect();
+        if !out.windows(2).all(|w| w[0] < w[1]) {
+            out.sort_unstable();
+            out.dedup();
+        }
+        out
+    }
+}
+
 /// Do two coded rows match under `sem`? `am`/`bm` are the rows' null
 /// bitmasks over the same column positions as the code slices.
 #[inline]

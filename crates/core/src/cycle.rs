@@ -1114,7 +1114,8 @@ impl<'a> AnonymizationCycle<'a> {
                     }
                 }
                 let stepped = catch_unwind(AssertUnwindSafe(|| {
-                    self.anonymizer.anonymize_step(&mut work, dict, row)
+                    self.anonymizer
+                        .anonymize_step_on(&mut work, dict, view, row)
                 }));
                 let action = match stepped {
                     Ok(Ok(a)) => a,

@@ -41,8 +41,7 @@ pub enum Fault {
         /// Which evaluate call panics, counting from 1.
         at_eval: usize,
     },
-    /// The anonymizer panics on its `n`-th `anonymize_step` call
-    /// (1-based).
+    /// The anonymizer panics on its `n`-th step (1-based).
     PanicInAnonymizer {
         /// Which step call panics, counting from 1.
         at_step: usize,
@@ -180,8 +179,9 @@ impl RiskMeasure for FaultyRisk<'_> {
     }
 }
 
-/// An anonymizer that panics on a chosen `anonymize_step` call ordinal,
-/// otherwise delegating to the wrapped anonymizer.
+/// An anonymizer that panics on a chosen step ordinal, otherwise
+/// delegating to the wrapped anonymizer. Every step counts once, whether it
+/// came through `anonymize_step_on` or the view-building `anonymize_step`.
 pub struct FaultyAnonymizer<'a> {
     inner: &'a dyn Anonymizer,
     panic_at: Option<usize>,
@@ -198,13 +198,13 @@ impl<'a> FaultyAnonymizer<'a> {
         }
     }
 
-    /// Panic on the `n`-th `anonymize_step` call (1-based).
+    /// Panic on the `n`-th step (1-based).
     pub fn panic_at(mut self, n: usize) -> Self {
         self.panic_at = Some(n);
         self
     }
 
-    /// How many `anonymize_step` calls the wrapper has seen.
+    /// How many steps the wrapper has seen.
     pub fn steps(&self) -> usize {
         self.steps.load(Ordering::Relaxed)
     }
@@ -215,17 +215,18 @@ impl Anonymizer for FaultyAnonymizer<'_> {
         self.inner.name()
     }
 
-    fn anonymize_step(
+    fn anonymize_step_on(
         &self,
         db: &mut MicrodataDb,
         dict: &MetadataDictionary,
+        view: &MicrodataView,
         row: usize,
     ) -> Result<AnonymizationAction, AnonymizeError> {
         let call = self.steps.fetch_add(1, Ordering::Relaxed) + 1;
         if self.panic_at == Some(call) {
             panic!("injected anonymizer fault at step #{call}"); // gate-allow: the fault under test
         }
-        self.inner.anonymize_step(db, dict, row)
+        self.inner.anonymize_step_on(db, dict, view, row)
     }
 }
 

@@ -37,11 +37,14 @@ pub use reident::ReIdentification;
 pub use suda::{dis_scores, minimal_sample_uniques, MsuSet, Suda};
 pub use tcloseness::TCloseness;
 
-use crate::columnar::{apply_cell_change_codes, codes_match, group_stats_codes, ColumnDict};
+use crate::columnar::{
+    apply_cell_change_codes, codes_match, group_stats_codes, ColumnDict, Postings,
+};
 use crate::dictionary::{Category, DictionaryError, MetadataDictionary};
 use crate::maybe_match::{GroupStats, NullSemantics};
 use crate::model::{MicrodataDb, ModelError};
 use std::fmt;
+use std::sync::OnceLock;
 use vadalog::Value;
 
 /// Errors building a view or evaluating risk.
@@ -108,6 +111,10 @@ pub struct MicrodataView {
     /// sequential; sharding only engages when exact, see
     /// [`crate::columnar`]).
     pub risk_threads: usize,
+    /// Code → rows index, built on the first candidate ranking (risk-only
+    /// views never pay for it) and kept current by
+    /// [`patch_cell`](Self::patch_cell).
+    postings: OnceLock<Postings>,
 }
 
 impl MicrodataView {
@@ -183,6 +190,7 @@ impl MicrodataView {
             weights,
             semantics,
             risk_threads: 1,
+            postings: OnceLock::new(),
         })
     }
 
@@ -217,6 +225,7 @@ impl MicrodataView {
             weights,
             semantics,
             risk_threads: 1,
+            postings: OnceLock::new(),
         }
     }
 
@@ -324,6 +333,7 @@ impl MicrodataView {
             weights,
             semantics,
             risk_threads,
+            postings: OnceLock::new(),
         }
     }
 
@@ -361,10 +371,38 @@ impl MicrodataView {
         )
     }
 
+    /// The code → rows index, built on first use.
+    pub(crate) fn postings(&self) -> &Postings {
+        self.postings.get_or_init(|| {
+            let lens: Vec<usize> = self.dicts.iter().map(ColumnDict::len).collect();
+            Postings::build(&self.codes, &self.null_masks, &lens)
+        })
+    }
+
+    /// Rows whose cell at `col` currently equals `v`, ascending (read off
+    /// the postings index, which this builds on first use).
+    pub fn rows_holding(&self, col: usize, v: &Value) -> Vec<usize> {
+        let Some(code) = self.dicts[col].code(v) else {
+            return Vec::new();
+        };
+        let postings = self.postings();
+        let list = if v.is_null() {
+            postings.null_rows()
+        } else {
+            postings.list(col, code)
+        };
+        let w = self.width();
+        Postings::current(list, |r| self.codes[r * w + col] == code)
+            .into_iter()
+            .map(|r| r as usize)
+            .collect()
+    }
+
     /// Overwrite the cell at `(row, col)` and, when `stats` is given,
     /// incrementally repair the group statistics (columnar
     /// flip-then-rescan, same exactness caveat as
-    /// [`GroupStats::apply_row_change`]).
+    /// [`GroupStats::apply_row_change`]). A built postings index is
+    /// updated too.
     pub fn patch_cell(
         &mut self,
         row: usize,
@@ -384,6 +422,14 @@ impl MicrodataView {
         } else {
             self.null_masks[row] &= !(1 << col);
         }
+        if let Some(postings) = self.postings.get_mut() {
+            postings.moved(
+                row,
+                col,
+                (old_codes[col], old_mask),
+                (code, self.null_masks[row]),
+            );
+        }
         if let Some(stats) = stats {
             apply_cell_change_codes(
                 &self.codes,
@@ -401,8 +447,10 @@ impl MicrodataView {
 
     /// Rewrite every cell of column `col` equal to `from` into `to`,
     /// repairing `stats` row by row when given (mirrors the sequential
-    /// per-row patch order of the cycle's recode path). Returns the
-    /// indices of the patched rows.
+    /// per-row patch order of the cycle's recode path). Walks the
+    /// [`rows_holding`](Self::rows_holding) list, so the rows are exactly
+    /// the ones a recoding anonymizer rewrote, in ascending order; returns
+    /// them.
     pub fn patch_recode(
         &mut self,
         col: usize,
@@ -410,18 +458,11 @@ impl MicrodataView {
         to: &Value,
         mut stats: Option<&mut GroupStats>,
     ) -> Vec<usize> {
-        let mut patched = Vec::new();
-        let Some(from_code) = self.dicts[col].code(from) else {
-            return patched;
-        };
-        let w = self.width();
-        for r in 0..self.len() {
-            if self.codes[r * w + col] == from_code {
-                self.patch_cell(r, col, to, stats.as_deref_mut());
-                patched.push(r);
-            }
+        let rows = self.rows_holding(col, from);
+        for &r in &rows {
+            self.patch_cell(r, col, to, stats.as_deref_mut());
         }
-        patched
+        rows
     }
 
     /// Number of null quasi-identifier cells across the view.
