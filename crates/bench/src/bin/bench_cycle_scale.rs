@@ -22,8 +22,10 @@
 //!   one).
 //!
 //! Safety is asserted before any number is reported: every mode must end
-//! with zero risky tuples, and the batched run may not suppress less than
-//! the one-tuple run. Results append to the `--out` file (default
+//! with zero risky tuples, the batched run may not suppress less than
+//! the one-tuple run, and it must regroup the table exactly once (its
+//! first evaluation; later ones repair the statistics in place). Results
+//! append to the `--out` file (default
 //! `BENCH_cycle.json`); `--baseline` gates the batched median against a
 //! committed baseline with the standard >25% regression threshold, and
 //! `--min-speedup` fails the run if one-tuple/batched falls below the
@@ -127,6 +129,14 @@ fn main() {
         violations.push(format!(
             "batched took more iterations than one-tuple ({} vs {})",
             batched.iterations, one.iterations
+        ));
+    }
+    // The batched run keeps its group statistics warm between
+    // iterations: only the first evaluation may regroup the table.
+    if batched.profile.warm.cold_evals != 1 {
+        violations.push(format!(
+            "batched regrouped the table {} time(s), expected exactly 1",
+            batched.profile.warm.cold_evals
         ));
     }
     if !violations.is_empty() {

@@ -205,6 +205,62 @@ impl Postings {
         }
         out
     }
+
+    /// The rows a statistics repair must visit after `row` changed its
+    /// cell at `col` (`codes`/`null_masks` already hold the new contents):
+    /// ascending, without repeats, and covering every row that matches the
+    /// row's old or new contents under `sem` — the candidate list of
+    /// [`apply_cell_change_codes`].
+    ///
+    /// The pivot is the column `d ≠ col` the row holds non-null (so it
+    /// held the same code before the change) with the fewest rows sharing
+    /// that code. A row matching either version agrees with it at `d` or,
+    /// under maybe-match, is null there; so the candidates are the rows
+    /// holding the code at `d` merged with the rows null at `d`. Without
+    /// such a column (width 1, or every other cell null) every row is a
+    /// candidate.
+    pub(crate) fn repair_candidates(
+        &self,
+        codes: &[u32],
+        null_masks: &[u64],
+        width: usize,
+        (row, col): (usize, usize),
+        sem: NullSemantics,
+    ) -> Vec<u32> {
+        let mask = null_masks[row];
+        let own = &codes[row * width..(row + 1) * width];
+        let pivot = (0..width)
+            .filter(|&d| d != col && mask >> d & 1 == 0)
+            .min_by_key(|&d| self.count(d, own[d]));
+        let Some(d) = pivot else {
+            return (0..null_masks.len() as u32).collect();
+        };
+        let k = own[d];
+        let holding = Self::current(self.list(d, k), |r| codes[r * width + d] == k);
+        if sem == NullSemantics::Standard {
+            // a null at `d` never equals the constant `k`
+            return holding;
+        }
+        let nulled = Self::current(&self.null_rows, |r| null_masks[r] >> d & 1 == 1);
+        if nulled.is_empty() {
+            return holding;
+        }
+        // The two lists are disjoint (non-null vs null at `d`).
+        let mut out = Vec::with_capacity(holding.len() + nulled.len());
+        let (mut a, mut b) = (holding.as_slice(), nulled.as_slice());
+        while let (Some(&x), Some(&y)) = (a.first(), b.first()) {
+            if x < y {
+                out.push(x);
+                a = &a[1..];
+            } else {
+                out.push(y);
+                b = &b[1..];
+            }
+        }
+        out.extend_from_slice(a);
+        out.extend_from_slice(b);
+        out
+    }
 }
 
 /// Do two coded rows match under `sem`? `am`/`bm` are the rows' null
@@ -572,6 +628,14 @@ fn exact_grouping(
 /// (gate on [`weights_exactly_summable`] for bit-identical warm ≡ cold).
 /// `codes`/`null_masks` must already hold the *new* contents;
 /// `old_codes`/`old_mask` are the row's previous coded contents.
+///
+/// Only the `candidates` are visited. They must be ascending, without
+/// repeats, include `row`, and cover every row that matches the old or
+/// the new contents (a superset is fine: the rest match neither and are
+/// skipped). Pass every row for the full scan. The changed row's own
+/// weight sum adds its matches' weights in ascending row order either
+/// way, so any such candidate list repairs bit-identically to the full
+/// scan, for any weights.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_cell_change_codes(
     codes: &[u32],
@@ -582,22 +646,27 @@ pub fn apply_cell_change_codes(
     row: usize,
     old_codes: &[u32],
     old_mask: u64,
+    candidates: &[u32],
     stats: &mut GroupStats,
 ) {
-    let n = null_masks.len();
     let w = |i: usize| weights.map(|w| w[i]).unwrap_or(1.0);
     let w_row = w(row);
     let new_codes = &codes[row * width..(row + 1) * width];
     let new_mask = null_masks[row];
-    for j in 0..n {
-        if j == row {
-            continue;
-        }
+    // The changed row's own group may have been reshaped arbitrarily:
+    // recount it while flipping the others.
+    let mut c = 0usize;
+    let mut s = 0.0f64;
+    for &j in candidates {
+        let j = j as usize;
         let other = &codes[j * width..(j + 1) * width];
         let om = null_masks[j];
-        let was = codes_match(old_codes, old_mask, other, om, sem);
         let now = codes_match(new_codes, new_mask, other, om, sem);
-        if was == now {
+        if now {
+            c += 1;
+            s += w(j);
+        }
+        if j == row || now == codes_match(old_codes, old_mask, other, om, sem) {
             continue;
         }
         if now {
@@ -606,22 +675,6 @@ pub fn apply_cell_change_codes(
         } else {
             stats.count[j] -= 1;
             stats.weight_sum[j] -= w_row;
-        }
-    }
-    // The changed row's own group may have been reshaped arbitrarily:
-    // recompute it from scratch.
-    let mut c = 0usize;
-    let mut s = 0.0f64;
-    for j in 0..n {
-        if codes_match(
-            new_codes,
-            new_mask,
-            &codes[j * width..(j + 1) * width],
-            null_masks[j],
-            sem,
-        ) {
-            c += 1;
-            s += w(j);
         }
     }
     stats.count[row] = c;
@@ -788,6 +841,7 @@ mod tests {
                     masks[row] &= !(1 << col);
                 }
                 rows[row][col] = v;
+                let every_row: Vec<u32> = (0..rows.len() as u32).collect();
                 apply_cell_change_codes(
                     &codes,
                     &masks,
@@ -797,6 +851,7 @@ mod tests {
                     row,
                     &old_codes,
                     old_mask,
+                    &every_row,
                     &mut stats,
                 );
                 let cold = group_stats_codes(&codes, &masks, width, &all, Some(&weights), sem, 1);

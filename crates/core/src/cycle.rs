@@ -69,9 +69,11 @@ pub enum StepGranularity {
 
 /// How many equivalence classes one batched iteration anonymizes (the
 /// million-row heuristic). With batching on, the cycle hands the
-/// anonymizer *all* rows of the selected classes in one iteration and
-/// recomputes group statistics once afterwards — one `O(n)` regroup per
-/// iteration instead of one `O(n)` statistics repair per row.
+/// anonymizer *all* rows of the selected classes in one iteration, and
+/// re-evaluates once afterwards. The group statistics are repaired
+/// through the postings index as the rows change; an iteration whose
+/// repairs visit more rows than the table holds drops them instead, and
+/// the next evaluation regroups once.
 ///
 /// Suppressing one member of an exact equivalence class never changes its
 /// siblings' match sets (the suppressed row still maybe-matches its old
@@ -1039,10 +1041,9 @@ impl<'a> AnonymizationCycle<'a> {
                 TupleOrder::MostRiskyFirst => "most-risky-first",
                 TupleOrder::Fifo => "fifo",
             };
-            // `batched` ⇔ this iteration may take several actions whose
-            // combined statistics repair would cost more than one regroup:
-            // per-row rechecks and incremental patches are skipped and the
-            // group statistics are recomputed once, next iteration.
+            // `batched` ⇔ this iteration takes whole classes at once: per-row
+            // rechecks are skipped, and the statistics repairs are capped
+            // by the cost rule below.
             let mut batched = false;
             match self.config.batch {
                 None => {
@@ -1084,7 +1085,8 @@ impl<'a> AnonymizationCycle<'a> {
             }
             record.targets = risky.len();
 
-            let mut data_changed = false;
+            // Rows the statistics repairs of this iteration have visited.
+            let mut repair_visits = 0usize;
             for row in risky {
                 // Monotonic-aggregation semantics (§4.3): suppressions made
                 // earlier in this iteration already count. If this tuple's
@@ -1147,16 +1149,21 @@ impl<'a> AnonymizationCycle<'a> {
                         exhausted.insert(row);
                     }
                 }
-                let patched = self.patch_view(
-                    view,
-                    &work,
-                    &action,
-                    // batched iterations defer the statistics to one
-                    // regroup at the next latch instead of per-row repairs
-                    if batched { None } else { warm_stats.as_mut() },
-                );
-                if patched > 0 {
-                    data_changed = true;
+                let budget = if batched {
+                    view.len().saturating_sub(repair_visits)
+                } else {
+                    usize::MAX
+                };
+                let (patched, visited) =
+                    self.patch_view(view, &work, &action, warm_stats.as_mut(), budget);
+                repair_visits += visited;
+                if batched && repair_visits > view.len() {
+                    // Cost rule: once this iteration's repairs have
+                    // visited more rows than one regroup reads, drop the
+                    // statistics; the next evaluation regroups cold.
+                    // Non-batched iterations always repair, because their
+                    // rechecks read the current statistics.
+                    warm_stats = None;
                 }
                 if self.config.warm_start {
                     profile.warm.patched_facts += patched;
@@ -1180,12 +1187,6 @@ impl<'a> AnonymizationCycle<'a> {
                         action,
                     });
                 }
-            }
-            if batched && data_changed {
-                // One parallel regroup at the next iteration's latch costs
-                // O(n) total; repairing the statistics per batched row
-                // would have cost O(batch · n).
-                warm_stats = None;
             }
             record.risk_eval_ns = risk_eval_ns;
             record.dur_ns = iter_start.elapsed().as_nanos() as u64;
@@ -1380,31 +1381,37 @@ impl<'a> AnonymizationCycle<'a> {
     /// replaces rebuilding the whole [`MicrodataView`]. When `stats` is
     /// supplied the maintained group statistics are repaired row by row
     /// (each change must be applied against the state the statistics
-    /// currently describe). Returns the number of view rows patched.
+    /// currently describe). A recode stops repairing once its repairs have
+    /// visited more than `budget` rows. Returns the number of view rows
+    /// patched and the number of rows the statistics repairs visited.
     fn patch_view(
         &self,
         view: &mut MicrodataView,
         work: &MicrodataDb,
         action: &AnonymizationAction,
         stats: Option<&mut GroupStats>,
-    ) -> u64 {
+        budget: usize,
+    ) -> (u64, usize) {
         match action {
             AnonymizationAction::Suppress { row, attr, .. } => {
                 if let Some(col) = view.qi_names.iter().position(|q| q == attr) {
                     if let Ok(v) = work.value(*row, attr) {
-                        view.patch_cell(*row, col, v, stats);
-                        return 1;
+                        return (1, view.patch_cell(*row, col, v, stats));
                     }
                 }
-                0
+                (0, 0)
             }
             AnonymizationAction::Recode { attr, from, to, .. } => {
                 match view.qi_names.iter().position(|q| q == attr) {
-                    Some(col) => view.patch_recode(col, from, to, stats).len() as u64,
-                    None => 0,
+                    Some(col) => {
+                        let (rows, visited) =
+                            view.patch_recode_within(col, from, to, stats, budget);
+                        (rows.len() as u64, visited)
+                    }
+                    None => (0, 0),
                 }
             }
-            AnonymizationAction::Exhausted { .. } => 0,
+            AnonymizationAction::Exhausted { .. } => (0, 0),
         }
     }
 

@@ -309,16 +309,23 @@ impl Vadasa {
         .map_err(PipelineError::Cycle)?;
 
         // --- summarize the released table ---
-        // The summary re-evaluates the measure on the released table; a
-        // plug-in that panicked during the cycle would panic again here,
-        // so fall back to the cycle's own (fail-closed) final report.
+        // A converged cycle's final report already scores the released
+        // table. Any other ending re-evaluates the measure; a plug-in that
+        // panicked during the cycle would panic again here, so fall back
+        // to the cycle's own (fail-closed) final report.
         let view = MicrodataView::from_db_with(&outcome.db, &dict, self.config.semantics, None)
             .map_err(PipelineError::Risk)?;
-        let report = match catch_unwind(AssertUnwindSafe(|| measure.evaluate(&view))) {
-            Ok(r) => r.map_err(PipelineError::Risk)?,
-            Err(_) => outcome.final_report.clone(),
+        let fresh;
+        let report = if outcome.termination.is_converged() {
+            &outcome.final_report
+        } else {
+            fresh = match catch_unwind(AssertUnwindSafe(|| measure.evaluate(&view))) {
+                Ok(r) => r.map_err(PipelineError::Risk)?,
+                Err(_) => outcome.final_report.clone(),
+            };
+            &fresh
         };
-        let summary = render_summary(&view, &report, self.config.threshold, self.summary_top_n);
+        let summary = render_summary(&view, report, self.config.threshold, self.summary_top_n);
 
         Ok(Release {
             outcome,

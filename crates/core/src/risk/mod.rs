@@ -111,9 +111,9 @@ pub struct MicrodataView {
     /// sequential; sharding only engages when exact, see
     /// [`crate::columnar`]).
     pub risk_threads: usize,
-    /// Code → rows index, built on the first candidate ranking (risk-only
-    /// views never pay for it) and kept current by
-    /// [`patch_cell`](Self::patch_cell).
+    /// Code → rows index, built on the first candidate ranking or
+    /// statistics repair (risk-only views never pay for it) and kept
+    /// current by [`patch_cell`](Self::patch_cell).
     postings: OnceLock<Postings>,
 }
 
@@ -401,15 +401,18 @@ impl MicrodataView {
     /// Overwrite the cell at `(row, col)` and, when `stats` is given,
     /// incrementally repair the group statistics (columnar
     /// flip-then-rescan, same exactness caveat as
-    /// [`GroupStats::apply_row_change`]). A built postings index is
-    /// updated too.
+    /// [`GroupStats::apply_row_change`]). The repair visits only the
+    /// candidate rows the postings index names (see
+    /// `Postings::repair_candidates`), building the index first if no
+    /// ranking has; a built index is updated either way. Returns the
+    /// number of rows the repair visited (0 without `stats`).
     pub fn patch_cell(
         &mut self,
         row: usize,
         col: usize,
         v: &Value,
         stats: Option<&mut GroupStats>,
-    ) {
+    ) -> usize {
         let w = self.width();
         let old_mask = self.null_masks[row];
         let code = self.dicts[col].intern(v);
@@ -430,19 +433,30 @@ impl MicrodataView {
                 (code, self.null_masks[row]),
             );
         }
-        if let Some(stats) = stats {
-            apply_cell_change_codes(
-                &self.codes,
-                &self.null_masks,
-                w,
-                self.weights.as_deref(),
-                self.semantics,
-                row,
-                old_codes,
-                old_mask,
-                stats,
-            );
-        }
+        let Some(stats) = stats else {
+            return 0;
+        };
+        // An index built here indexes the patched state directly.
+        let candidates = self.postings().repair_candidates(
+            &self.codes,
+            &self.null_masks,
+            w,
+            (row, col),
+            self.semantics,
+        );
+        apply_cell_change_codes(
+            &self.codes,
+            &self.null_masks,
+            w,
+            self.weights.as_deref(),
+            self.semantics,
+            row,
+            old_codes,
+            old_mask,
+            &candidates,
+            stats,
+        );
+        candidates.len()
     }
 
     /// Rewrite every cell of column `col` equal to `from` into `to`,
@@ -456,13 +470,34 @@ impl MicrodataView {
         col: usize,
         from: &Value,
         to: &Value,
-        mut stats: Option<&mut GroupStats>,
+        stats: Option<&mut GroupStats>,
     ) -> Vec<usize> {
+        self.patch_recode_within(col, from, to, stats, usize::MAX).0
+    }
+
+    /// [`patch_recode`](Self::patch_recode) under a repair budget: once
+    /// the repairs have visited more than `budget` rows, the remaining
+    /// rows are patched without repair, and the caller must drop `stats`.
+    /// Returns the rows patched and the rows the repairs visited.
+    pub(crate) fn patch_recode_within(
+        &mut self,
+        col: usize,
+        from: &Value,
+        to: &Value,
+        mut stats: Option<&mut GroupStats>,
+        budget: usize,
+    ) -> (Vec<usize>, usize) {
         let rows = self.rows_holding(col, from);
+        let mut visited = 0;
         for &r in &rows {
-            self.patch_cell(r, col, to, stats.as_deref_mut());
+            let repair = if visited > budget {
+                None
+            } else {
+                stats.as_deref_mut()
+            };
+            visited += self.patch_cell(r, col, to, repair);
         }
-        rows
+        (rows, visited)
     }
 
     /// Number of null quasi-identifier cells across the view.
@@ -739,6 +774,31 @@ mod tests {
         // recoding a value the column never held is a no-op
         let none = v.patch_recode(0, &Value::str("zz"), &Value::str("b"), Some(&mut stats));
         assert!(none.is_empty());
+    }
+
+    #[test]
+    fn recode_repairs_stop_past_the_budget() {
+        let rows = vec![
+            vec!["a", "x"],
+            vec!["a", "x"],
+            vec!["a", "y"],
+            vec!["a", "y"],
+            vec!["a", "z"],
+            vec!["a", "z"],
+        ];
+        let (a, b) = (Value::str("a"), Value::str("b"));
+        // each repair pivots on column 1 and visits the row's pair
+        let mut v = view_of(rows.clone(), None);
+        let mut stats = v.group_stats();
+        let (patched, visited) = v.patch_recode_within(0, &a, &b, Some(&mut stats), usize::MAX);
+        assert_eq!((patched.len(), visited), (6, 12));
+        assert_eq!(stats.count, v.group_stats().count);
+        // a zero budget stops after the first repair; every cell still moves
+        let mut v = view_of(rows, None);
+        let mut stats = v.group_stats();
+        let (patched, visited) = v.patch_recode_within(0, &a, &b, Some(&mut stats), 0);
+        assert_eq!((patched.len(), visited), (6, 2));
+        assert!((0..6).all(|r| v.value(r, 0) == &b));
     }
 
     #[test]

@@ -260,7 +260,11 @@ impl JobFailure {
 }
 
 struct JobEntry {
+    /// The job's input; dropped at `Done`, after which nothing reads it
+    /// (duplicate submits are refused by id and manifest).
     spec: Option<Arc<JobSpec>>,
+    /// Storage engine the spec declares, kept past `Done`.
+    storage: StorageEngine,
     rows: usize,
     state: JobState,
     attempts: u32,
@@ -292,11 +296,7 @@ impl JobEntry {
             eta_confidence: live
                 .then(|| self.metrics.gauge("cycle.eta_confidence"))
                 .flatten(),
-            storage: self
-                .spec
-                .as_ref()
-                .map(|s| s.storage)
-                .unwrap_or(StorageEngine::Mem),
+            storage: self.storage,
         }
     }
 }
@@ -457,6 +457,7 @@ impl JobServer {
                 id.to_string(),
                 JobEntry {
                     spec: Some(Arc::new(spec.clone())),
+                    storage: spec.storage,
                     rows,
                     state: JobState::Queued,
                     attempts: 0,
@@ -721,6 +722,7 @@ fn recover_fleet(
         let marker = Marker::read(&dir);
         let mut entry = JobEntry {
             spec: None,
+            storage: StorageEngine::Mem,
             rows: 0,
             state: JobState::Failed,
             attempts: 0,
@@ -736,6 +738,7 @@ fn recover_fleet(
         match &manifest {
             Ok(spec) => {
                 entry.rows = spec.row_count();
+                entry.storage = spec.storage;
                 entry.spec = Some(Arc::new(spec.clone()));
                 mismatch = backend_mismatch(spec, &dir);
             }
@@ -755,6 +758,9 @@ fn recover_fleet(
                 entry.attempts = m.attempts as u32;
                 entry.error = m.error.or(entry.error);
                 entry.summary = m.summary;
+                if entry.state == JobState::Done {
+                    entry.spec = None;
+                }
             }
             Ok(_) => {
                 // Interrupted marker or none at all.
@@ -1069,6 +1075,10 @@ fn transition(shared: &Shared, id: &str, dir: &Path, result: Result<CycleOutcome
                 entry.state = state;
                 entry.error = error.or(entry.error.take());
                 entry.summary = summary.or(entry.summary);
+                if state == JobState::Done {
+                    // the released table is on disk; free the input
+                    entry.spec = None;
+                }
             }
             st.active = st.active.saturating_sub(1);
             let counter = match state {
@@ -1179,6 +1189,27 @@ mod tests {
         assert!(csv.starts_with("id,area,weight"));
         assert!(root.join("j1").join("state.json").is_file());
         assert_eq!(server.metrics().counter("server.done"), 1);
+        server.shutdown(ShutdownMode::Drain);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn done_jobs_drop_their_input_but_keep_storage_and_result() {
+        let root = fresh_root("drop-spec");
+        let server = JobServer::start(ServerConfig::new(&root)).expect("start");
+        let mut spec = tiny_spec();
+        spec.storage = StorageEngine::File;
+        server.submit("j1", spec).expect("submit");
+        let report = server.wait("j1", Duration::from_secs(30)).expect("known");
+        assert_eq!(report.state, JobState::Done, "error: {:?}", report.error);
+        assert_eq!(report.storage, StorageEngine::File);
+        assert!(server.shared.lock().jobs["j1"].spec.is_none());
+        assert_eq!(
+            server.status("j1").expect("known").storage,
+            StorageEngine::File
+        );
+        let released = std::fs::read_to_string(root.join("j1").join(RELEASED_FILE)).unwrap();
+        assert_eq!(server.result_csv("j1"), Some(released));
         server.shutdown(ShutdownMode::Drain);
         std::fs::remove_dir_all(&root).ok();
     }

@@ -194,3 +194,60 @@ fn audit_log_covers_every_change() {
     let qis = dict.quasi_identifiers(&db.name).unwrap();
     assert_eq!(outcome.db.null_cells(&qis), outcome.nulls_injected);
 }
+
+/// A converged release summarizes the cycle's own final report instead of
+/// re-scoring the released table; the summary must read exactly as one
+/// rendered from a fresh evaluation.
+#[test]
+fn converged_summary_equals_a_fresh_evaluation() {
+    use vadasa_core::pipeline::Vadasa;
+    use vadasa_core::report::render_summary;
+    use vadasa_datagen::fixtures::{inflation_growth_fig1, local_suppression_fig5a};
+
+    let tables = [
+        ("fig1", inflation_growth_fig1()),
+        ("fig5a", local_suppression_fig5a()),
+        ("R-U", generate(&DatasetSpec::new(400, 4, Regime::U), 7)),
+        ("R-V", generate(&DatasetSpec::new(400, 4, Regime::V), 7)),
+        ("R-W", generate(&DatasetSpec::new(400, 4, Regime::W), 7)),
+    ];
+    let mut converged = 0;
+    for (table, (db, dict)) in &tables {
+        let measures: [(Vadasa, Box<dyn RiskMeasure>, f64); 4] = [
+            (
+                Vadasa::new().k_anonymity(2),
+                Box::new(KAnonymity::new(2)),
+                0.5,
+            ),
+            (
+                Vadasa::new().re_identification().threshold(0.2),
+                Box::new(ReIdentification),
+                0.2,
+            ),
+            (
+                Vadasa::new()
+                    .individual_risk(IrEstimator::PosteriorMean)
+                    .threshold(0.2),
+                Box::new(IndividualRisk::new(IrEstimator::PosteriorMean)),
+                0.2,
+            ),
+            (Vadasa::new().suda(3), Box::new(Suda::new(3)), 0.5),
+        ];
+        for (pipeline, measure, threshold) in measures {
+            let release = pipeline.with_dictionary(dict.clone()).run(db).unwrap();
+            if !release.outcome.termination.is_converged() {
+                continue;
+            }
+            converged += 1;
+            let view = MicrodataView::from_db(&release.outcome.db, dict).unwrap();
+            let fresh = measure.evaluate(&view).unwrap();
+            assert_eq!(
+                release.summary,
+                render_summary(&view, &fresh, threshold, 5),
+                "{table}, {}",
+                measure.name()
+            );
+        }
+    }
+    assert_eq!(converged, 20, "every run must converge");
+}
